@@ -33,7 +33,6 @@ from repro.core.trajectory import CycleResult
 from repro.exceptions import CoordinatorError
 from repro.hpc.platform import ComputePlatform
 from repro.protein.datasets import DesignTarget
-from repro.protein.metrics import composite_score
 from repro.runtime.queues import Channel
 from repro.runtime.session import Session
 from repro.runtime.states import TaskState
@@ -352,12 +351,16 @@ class PipelinesCoordinator:
     # -- the decision-making step --------------------------------------------------------- #
 
     def _cohort_composites(self) -> Dict[str, float]:
-        """Latest composite score of every pipeline that has one."""
+        """Latest composite score of every pipeline that has one.
+
+        Runs on every decision step over the whole cohort, so it reads each
+        design's cached composite rather than scoring it again.
+        """
         composites: Dict[str, float] = {}
         for uid, pipeline in self._pipelines.items():
             metrics = pipeline.latest_metrics
             if metrics is not None:
-                composites[uid] = composite_score(metrics)
+                composites[uid] = metrics.composite()
         return composites
 
     def _decision_step(self, pipeline: Pipeline, cycle_result: CycleResult) -> None:

@@ -31,10 +31,32 @@ _PLDDT_RANGE = (30.0, 100.0)
 _PTM_RANGE = (0.0, 1.0)
 _PAE_RANGE = (0.0, 32.0)
 
+#: Default composite weights: pLDDT, pTM, inverted inter-chain pAE.
+_DEFAULT_WEIGHTS = (0.4, 0.35, 0.25)
+
+
+def _weight_shares(weights: tuple[float, float, float]) -> tuple[float, ...]:
+    """Validate ``weights`` and scale them to sum to one."""
+    if len(weights) != 3:
+        raise ProteinError("weights must have exactly three entries")
+    if any(weight < 0 for weight in weights) or sum(weights) <= 0:
+        raise ProteinError("weights must be non-negative and sum to a positive value")
+    return tuple(weight / sum(weights) for weight in weights)
+
+
+_DEFAULT_SHARES = _weight_shares(_DEFAULT_WEIGHTS)
+
 
 @dataclass(frozen=True)
 class QualityMetrics:
-    """AlphaFold-style confidence metrics for one predicted complex."""
+    """AlphaFold-style confidence metrics for one predicted complex.
+
+    The default-weight composite (:func:`composite_score`) is computed once,
+    at construction, and cached on the instance outside the dataclass fields,
+    so ``repr``, equality and every serialised form see only the three
+    metrics.  pLDDT and pTM must lie in their ranges; inter-chain pAE must be
+    non-negative and not NaN (``+inf`` is allowed and normalises to 0).
+    """
 
     plddt: float
     ptm: float
@@ -45,8 +67,9 @@ class QualityMetrics:
             raise ProteinError(f"pLDDT out of range: {self.plddt}")
         if not 0.0 <= self.ptm <= 1.0:
             raise ProteinError(f"pTM out of range: {self.ptm}")
-        if self.interchain_pae < 0.0:
+        if not self.interchain_pae >= 0.0:
             raise ProteinError(f"inter-chain pAE must be non-negative: {self.interchain_pae}")
+        object.__setattr__(self, "_composite", _weighted_composite(self, _DEFAULT_SHARES))
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -56,37 +79,44 @@ class QualityMetrics:
         }
 
     def composite(self) -> float:
-        """Convenience wrapper around :func:`composite_score`."""
-        return composite_score(self)
+        """The cached default-weight :func:`composite_score`."""
+        return self._composite
 
 
 def _normalise(value: float, bounds: tuple[float, float], invert: bool = False) -> float:
     low, high = bounds
-    scaled = (value - low) / (high - low)
-    scaled = float(np.clip(scaled, 0.0, 1.0))
+    # max-then-min with ``scaled`` first clamps exactly like ``np.clip``,
+    # NaN included (it propagates).
+    scaled = float(min(max((value - low) / (high - low), 0.0), 1.0))
     return 1.0 - scaled if invert else scaled
 
 
-def composite_score(
-    metrics: QualityMetrics,
-    weights: tuple[float, float, float] = (0.4, 0.35, 0.25),
-) -> float:
-    """Weighted composite of the three metrics, in ``[0, 1]`` (higher better).
-
-    Default weights emphasise pLDDT (the per-residue confidence), then pTM,
-    then the inverted inter-chain pAE, mirroring the relative prominence the
-    paper gives them.
-    """
-    if len(weights) != 3:
-        raise ProteinError("weights must have exactly three entries")
-    if any(weight < 0 for weight in weights) or sum(weights) <= 0:
-        raise ProteinError("weights must be non-negative and sum to a positive value")
-    w_plddt, w_ptm, w_pae = (weight / sum(weights) for weight in weights)
+def _weighted_composite(metrics: QualityMetrics, shares: tuple[float, ...]) -> float:
+    w_plddt, w_ptm, w_pae = shares
     return (
         w_plddt * _normalise(metrics.plddt, _PLDDT_RANGE)
         + w_ptm * _normalise(metrics.ptm, _PTM_RANGE)
         + w_pae * _normalise(metrics.interchain_pae, _PAE_RANGE, invert=True)
     )
+
+
+def composite_score(
+    metrics: QualityMetrics,
+    weights: tuple[float, float, float] = _DEFAULT_WEIGHTS,
+) -> float:
+    """Weighted composite of the three metrics, in ``[0, 1]`` (higher better).
+
+    Default weights emphasise pLDDT (the per-residue confidence), then pTM,
+    then the inverted inter-chain pAE, mirroring the relative prominence the
+    paper gives them.  With the default weights this returns the value
+    cached on ``metrics`` at construction, so scoring a design again costs
+    an attribute read; other weights are validated and computed per call.
+    Each metric is clamped to ``[0, 1]`` with plain-float arithmetic that
+    matches ``np.clip`` bit for bit, NaN included.
+    """
+    if weights is _DEFAULT_WEIGHTS:
+        return metrics._composite
+    return _weighted_composite(metrics, _weight_shares(weights))
 
 
 def is_improvement(

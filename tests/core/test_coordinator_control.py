@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.control import ControlConfig, ControlProtocol
 from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
 from repro.core.decision import SubPipelinePolicy
 from repro.core.pipeline import PipelineConfig, PipelineStatus
 from repro.exceptions import CampaignError, CoordinatorError
+from repro.experiments.spec import TargetSpec
+from repro.protein import metrics as metrics_module
+from repro.protein.metrics import QualityMetrics
 
 
 @pytest.fixture()
@@ -114,6 +118,42 @@ class TestCoordinator:
         coordinator.run()
         total_tasks = len(coordinator.session.pilot.agent.tasks())
         assert coordinator.completed_channel.put_count == total_tasks
+
+    def test_each_design_is_scored_at_most_once(self, monkeypatch):
+        """Decision steps read cached composites instead of re-scoring the cohort.
+
+        Every decision step consults the latest composite of every pipeline,
+        so re-scoring would evaluate the composite arithmetic once per
+        (step, pipeline) pair: quadratic in campaign size.
+        """
+        counts = {"instances": 0, "computed": 0, "cohort_reads": 0}
+        post_init = QualityMetrics.__post_init__
+        compute = metrics_module._weighted_composite
+        cohort = PipelinesCoordinator._cohort_composites
+
+        def counting_post_init(self):
+            counts["instances"] += 1
+            post_init(self)
+
+        def counting_compute(metrics, shares):
+            counts["computed"] += 1
+            return compute(metrics, shares)
+
+        def counting_cohort(self):
+            composites = cohort(self)
+            counts["cohort_reads"] += len(composites)
+            return composites
+
+        monkeypatch.setattr(QualityMetrics, "__post_init__", counting_post_init)
+        monkeypatch.setattr(metrics_module, "_weighted_composite", counting_compute)
+        monkeypatch.setattr(PipelinesCoordinator, "_cohort_composites", counting_cohort)
+        targets = TargetSpec(kind="expanded-pdz", n_targets=12, seed=3).build()
+        config = CampaignConfig(protocol="im-rp", n_cycles=2, n_sequences=4, seed=3)
+        result = DesignCampaign(targets, config).run()
+
+        assert result.n_subpipelines > 0
+        assert counts["cohort_reads"] > counts["instances"] > 0
+        assert counts["computed"] <= counts["instances"]
 
 
 class TestControlProtocol:

@@ -7,6 +7,8 @@ registry refactor is provably behaviour-preserving.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.campaign import CampaignConfig, DesignCampaign
@@ -19,6 +21,9 @@ from repro.core.protocols import (
     unregister_protocol,
 )
 from repro.exceptions import CampaignError
+from repro.experiments.spec import TargetSpec
+from repro.store.fingerprint import canonical_json
+from repro.utils.serialization import to_jsonable
 
 #: Exact fingerprints captured from the pre-refactor if/else implementation
 #: (commit 16c280d) for named_pdz_targets(seed=11), n_cycles=2, n_sequences=6.
@@ -84,6 +89,13 @@ GOLDEN = {
         },
     },
 }
+
+#: sha256 of the canonical ``as_dict()`` JSON of a 16-target expanded-pdz
+#: IM-RP campaign (seed 7, n_cycles=2, n_sequences=6), captured before the
+#: composite score was cached.  Sixteen roots spawn 20 sub-pipelines, 19 of
+#: them through the below-cohort-median rule, so this pins the cohort
+#: decision path at a scale the four-target goldens above do not reach.
+MANY_PIPELINE_GOLDEN = "686e9de926e52d413c171888bdce6d72b6010204373edba39c5e7cd882f40bba"
 
 
 class TestRegistry:
@@ -191,6 +203,15 @@ def test_golden_equivalence_with_pre_refactor_branches(four_targets, protocol, s
     deltas = result.net_deltas()
     for metric, value in want["net_deltas"].items():
         assert deltas[metric] == pytest.approx(value, rel=0, abs=0), metric
+
+
+def test_many_pipeline_golden():
+    targets = TargetSpec(kind="expanded-pdz", n_targets=16, seed=7).build()
+    config = CampaignConfig(protocol="im-rp", n_cycles=2, n_sequences=6, seed=7)
+    result = DesignCampaign(targets, config).run()
+    assert (result.n_pipelines, result.n_subpipelines) == (16, 20)
+    payload = canonical_json(to_jsonable(result.as_dict()))
+    assert hashlib.sha256(payload.encode()).hexdigest() == MANY_PIPELINE_GOLDEN
 
 
 class TestNewProtocols:
