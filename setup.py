@@ -1,12 +1,22 @@
-"""Setuptools shim.
+"""Packaging for the ``repro`` library (``src`` layout).
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works on
-minimal offline environments where the ``wheel`` package (required by the
-PEP 660 editable-build path of older setuptools releases) is unavailable:
-without a ``[build-system]`` table pip falls back to the legacy
-``setup.py develop`` editable install, which has no such dependency.
+``pip install -e .`` (or ``pip install .``) installs the ``repro`` package
+and every subpackage under ``src/``; NumPy is the only runtime dependency.
+All packaging metadata lives here: the project has no ``pyproject.toml``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.MULTILINE)
+
+setup(
+    name="repro",
+    version=_VERSION.group(1),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

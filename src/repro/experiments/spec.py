@@ -4,13 +4,20 @@ A :class:`SweepSpec` describes a whole scenario matrix — protocols × seeds ×
 platform specs × knob combinations over one target set — without constructing
 any campaign object.  Everything in it is a plain picklable dataclass, so the
 expanded :class:`RunSpec` list can be shipped to worker processes which
-rebuild targets and campaigns locally (cheaper and more deterministic than
+build targets and campaigns locally (cheaper and more deterministic than
 pickling landscapes and surrogate models across process boundaries).
+
+A target set is built once per process: :meth:`TargetSpec.build` memoises
+its :class:`~repro.protein.datasets.DesignTarget` objects by spec, and every
+run over that spec shares them.  Sharing is safe because targets are
+read-only at the source (frozen dataclasses, read-only coordinate and
+landscape arrays) and a build draws only from its own target seed streams.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -18,6 +25,7 @@ from repro.core.campaign import CampaignConfig
 from repro.core.protocols import available_protocols
 from repro.exceptions import CampaignError
 from repro.hpc.resources import PlatformSpec
+from repro.protein.alphabet import AA_TO_INDEX
 from repro.protein.datasets import (
     ALPHA_SYNUCLEIN_C4,
     ALPHA_SYNUCLEIN_C10,
@@ -35,6 +43,10 @@ TARGET_KINDS = ("named-pdz", "expanded-pdz")
 #: axes or would break run identity).
 _RESERVED_OVERRIDES = ("protocol", "seed", "platform_spec")
 
+#: Distinct target sets memoised per process.  A sweep shares one
+#: :class:`TargetSpec`, so a few entries cover every run a process executes.
+_TARGET_CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -50,7 +62,8 @@ class TargetSpec:
     n_targets:
         Size of the expanded set (ignored for ``"named-pdz"``).
     peptide:
-        Peptide residues; defaults to the paper's choice for the kind.
+        Peptide residues (canonical one-letter codes, non-empty); ``None``
+        means the paper's choice for the kind.
     """
 
     kind: str = "named-pdz"
@@ -65,18 +78,37 @@ class TargetSpec:
             )
         if self.n_targets < 1:
             raise CampaignError("n_targets must be >= 1")
+        if self.peptide is not None:
+            if not self.peptide:
+                raise CampaignError("peptide must have at least one residue")
+            invalid = sorted(set(self.peptide) - set(AA_TO_INDEX))
+            if invalid:
+                raise CampaignError(f"peptide has non-canonical residues {invalid}")
 
     def build(self) -> List[DesignTarget]:
-        """Materialise the target set (deterministic in the spec)."""
-        if self.kind == "named-pdz":
-            return named_pdz_targets(
-                seed=self.seed, peptide_residues=self.peptide or ALPHA_SYNUCLEIN_C10
-            )
-        return expanded_pdz_set(
-            n_targets=self.n_targets,
-            seed=self.seed,
-            peptide_residues=self.peptide or ALPHA_SYNUCLEIN_C4,
+        """The target set (deterministic in the spec), built once per process.
+
+        Returns a new list on every call; the :class:`DesignTarget` objects
+        in it are shared, read-only, by every caller with an equal spec.
+        """
+        return list(_build_targets(self))
+
+
+@functools.lru_cache(maxsize=_TARGET_CACHE_SIZE)
+def _build_targets(spec: TargetSpec) -> Tuple[DesignTarget, ...]:
+    # Concurrent misses (threaded workers) may both build; the build is
+    # deterministic, so whichever result the cache keeps is the same.
+    if spec.kind == "named-pdz":
+        targets = named_pdz_targets(
+            seed=spec.seed, peptide_residues=spec.peptide or ALPHA_SYNUCLEIN_C10
         )
+    else:
+        targets = expanded_pdz_set(
+            n_targets=spec.n_targets,
+            seed=spec.seed,
+            peptide_residues=spec.peptide or ALPHA_SYNUCLEIN_C4,
+        )
+    return tuple(targets)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ streams), i.e. embarrassingly parallel: :class:`CampaignSuite` fans the
 expanded :class:`~repro.experiments.spec.RunSpec` list out over a
 ``ProcessPoolExecutor`` and aggregates the per-run
 :class:`~repro.core.results.CampaignResult` objects into a
-:class:`SuiteResult`.  Determinism is preserved — each worker rebuilds its
-targets and campaign from the declarative spec, so a run inside a suite is
-identical to running that campaign alone, regardless of executor or worker
-count.
+:class:`SuiteResult`.  Determinism is preserved — each worker builds its
+campaign from the declarative spec, over targets built once per process and
+shared read-only, so a run inside a suite is identical to running that
+campaign alone, regardless of executor or worker count.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ def execute_run(
 ) -> Tuple[CampaignResult, float]:
     """Execute one run spec and return ``(result, wall_seconds)``.
 
-    Module-level so it is picklable as a process-pool work item.  The targets
-    and campaign are rebuilt from the declarative spec inside the worker.
+    Module-level so it is picklable as a process-pool work item.  The
+    campaign is built from the declarative spec inside the worker, over the
+    process's shared read-only targets for ``spec.targets`` (built on first
+    use, see :meth:`~repro.experiments.spec.TargetSpec.build`).
 
     ``resume_state`` continues an interrupted campaign from a restorable
     :class:`~repro.core.campaign.CampaignState` (the result is byte-identical

@@ -84,6 +84,10 @@ class FitnessLandscape:
         coupling term.
     epistasis_strength:
         Relative magnitude of coupling terms versus additive terms.
+
+    A landscape is immutable once built: its parameter and gather-index
+    arrays are read-only, so one landscape can be shared by every run over
+    the same target.
     """
 
     def __init__(
@@ -154,6 +158,17 @@ class FitnessLandscape:
         # Precomputed gather indices for the hot paths.
         self._designable_index = np.asarray(positions, dtype=np.int64)
         self._local_range = np.arange(n_pos)
+
+        for array in (
+            self._additive,
+            self._coupling_tensor,
+            self._pair_a,
+            self._pair_b,
+            self._pair_range,
+            self._designable_index,
+            self._local_range,
+        ):
+            array.flags.writeable = False
 
         self._position_index = {pos: i for i, pos in enumerate(positions)}
         self._calibration = self._calibrate()
@@ -295,14 +310,12 @@ class FitnessLandscape:
     def additive_matrix(self) -> np.ndarray:
         """Additive preference matrix over all designable positions.
 
-        Returns a read-only view of shape ``(n_designable, 20)``, row order
-        following :attr:`designable_positions`.  The ProteinMPNN surrogate
-        uses this to build its whole sampling profile in one shot instead of
-        calling :meth:`additive_profile` per position per design.
+        Returns the read-only array of shape ``(n_designable, 20)``, row
+        order following :attr:`designable_positions`.  The ProteinMPNN
+        surrogate uses this to build its whole sampling profile in one shot
+        instead of calling :meth:`additive_profile` per position per design.
         """
-        view = self._additive.view()
-        view.flags.writeable = False
-        return view
+        return self._additive
 
     def partial_score(self, sequence: ProteinSequence) -> float:
         """Additive-only score — what the ProteinMPNN surrogate 'sees'.

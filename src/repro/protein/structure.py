@@ -77,7 +77,13 @@ def synthetic_backbone(
 
 @dataclass(frozen=True)
 class Chain:
-    """One chain: a sequence plus its CA coordinates."""
+    """One chain: a sequence plus its CA coordinates.
+
+    ``coordinates`` is stored as a read-only view of the ``(L, 3)`` float
+    array it was given, so chains (and the design targets holding them) can
+    be shared between runs; the caller's own array stays writeable.  Copy
+    it before modifying.
+    """
 
     sequence: ProteinSequence
     coordinates: np.ndarray
@@ -93,6 +99,8 @@ class Chain:
                 f"chain {self.sequence.chain_id!r}: {len(self.sequence)} residues "
                 f"but {coords.shape[0]} coordinates"
             )
+        coords = coords.view()
+        coords.flags.writeable = False
         object.__setattr__(self, "coordinates", coords)
 
     @property

@@ -10,6 +10,9 @@ from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.exceptions import CampaignError
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec, execute_run
 from repro.experiments.cli import main as cli_main
+from repro.experiments.spec import RunSpec
+from repro.protein.datasets import ALPHA_SYNUCLEIN_C4, ALPHA_SYNUCLEIN_C10
+from repro.store.fingerprint import run_fingerprint
 from repro.utils.serialization import to_jsonable
 
 #: Small-but-real sweep shared by the engine tests: 4 protocols x 2 seeds = 8
@@ -39,6 +42,43 @@ class TestTargetSpec:
     def test_invalid_kind_rejected(self):
         with pytest.raises(CampaignError, match="target kind"):
             TargetSpec(kind="kinases")
+
+    def test_invalid_peptide_rejected_at_construction(self):
+        with pytest.raises(CampaignError, match=r"\['!', 'X', 'Z'\]"):
+            TargetSpec(peptide="XZ!")
+
+    def test_empty_peptide_rejected(self):
+        with pytest.raises(CampaignError, match="at least one residue"):
+            TargetSpec(peptide="")
+
+    def test_none_peptide_means_the_kind_default(self):
+        named = TargetSpec(kind="named-pdz", seed=1).build()
+        assert named[0].peptide_sequence == ALPHA_SYNUCLEIN_C10
+        expanded = TargetSpec(kind="expanded-pdz", seed=1, n_targets=1).build()
+        assert expanded[0].peptide_sequence == ALPHA_SYNUCLEIN_C4
+
+    @pytest.mark.parametrize(
+        ("targets", "fingerprint"),
+        [
+            (
+                TargetSpec(),
+                "ba86c04626e1ec36895cd103b782947eab23db830d6b1a59d8ceaebf829dac8f",
+            ),
+            (
+                TargetSpec(kind="named-pdz", seed=3, peptide="EPEA"),
+                "9e34d1842d7a0ffef936ef6efa4f09b8487970c159604e22d49c6f7451f7a877",
+            ),
+            (
+                TargetSpec(
+                    kind="expanded-pdz", seed=1, n_targets=5, peptide="GYQDYEPEA"
+                ),
+                "778ea235eef2324e67aa2f99ac2233a64b198f089ced7119dac9586dfcf9b5b9",
+            ),
+        ],
+    )
+    def test_valid_spec_fingerprints_are_pinned(self, targets, fingerprint):
+        run = RunSpec(run_id="x", protocol="im-rp", seed=0, targets=targets)
+        assert run_fingerprint(run) == fingerprint
 
 
 class TestSweepSpec:
