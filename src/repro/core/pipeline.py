@@ -481,7 +481,9 @@ class Pipeline:
         the current complex, the previous cycle's metrics, accumulated cycle
         results and trajectories, and the exact selection-RNG state.  Floats
         survive the JSON round-trip losslessly, which is what makes the
-        resume byte-identity contract possible.
+        resume byte-identity contract possible.  Backbone coordinates that
+        still equal the target's are encoded by reference (``null``), so a
+        cycle's snapshot carries only what evolved.
 
         Raises
         ------
@@ -500,7 +502,7 @@ class Pipeline:
             "parent_uid": self.parent_uid,
             "status": self._status.value,
             "cycle": self._cycle,
-            "complex": encode_complex(self._complex),
+            "complex": encode_complex(self._complex, self.target.complex),
             "previous_metrics": encode_metrics(self._previous_metrics),
             "cycle_results": [
                 encode_cycle_result(cycle) for cycle in self._cycle_results
@@ -524,7 +526,8 @@ class Pipeline:
 
         ``target``, ``factory`` and ``config`` are rebuilt by the caller from
         the declarative run spec (they are deterministic in it); the snapshot
-        carries only the evolving state.
+        carries only the evolving state, and ``target.complex`` fills in the
+        backbone coordinates it encoded by reference.
         """
         if payload["target"] != target.name:
             raise PipelineError(
@@ -540,7 +543,7 @@ class Pipeline:
         )
         pipeline._status = PipelineStatus(payload["status"])
         pipeline._cycle = payload["cycle"]
-        pipeline._complex = decode_complex(payload["complex"])
+        pipeline._complex = decode_complex(payload["complex"], target.complex)
         pipeline._previous_metrics = decode_metrics(payload["previous_metrics"])
         pipeline._cycle_results = [
             decode_cycle_result(cycle) for cycle in payload["cycle_results"]

@@ -10,8 +10,26 @@ to an uninterrupted run, and Python's ``json`` round-trips floats losslessly
 (``repr`` shortest-round-trip), so every numeric field survives the detour
 through disk bit-for-bit.
 
+Backbones travel by reference.  A pipeline's complex keeps its target's
+CA coordinates for the whole run (design changes sequences, not the
+backbone), and the target is rebuilt deterministically from the run spec on
+resume, so re-serialising those coordinates every cycle would only repeat
+bytes the reader already has.  :func:`encode_complex` therefore takes the
+target's complex as ``reference`` and writes ``"coordinates": null`` for
+every chain whose coordinates are bit-identical (equal ``tobytes()``) to
+the reference chain's; :func:`decode_complex` fills those nulls back from
+the same reference.  A chain that differs is encoded in full, and a payload
+without nulls (checkpoint schema v1, or no reference at encode time)
+decodes with or without one.  The encoded complex (checkpoint schema v2)::
+
+    {"name": …, "backbone_quality": …, "designable_positions": […],
+     "metadata": {…},
+     "receptor": {"residues": "…", "chain_id": "A", "name": …,
+                  "coordinates": null},          # = reference receptor's
+     "peptide":  {…, "coordinates": [[x, y, z], …]}}  # differs: in full
+
 The codecs live in the core layer (they know the core dataclasses); the
-storage envelope around them — schema versioning, atomic files, torn-tail
+storage envelope around them — schema versioning, appended lines, torn-tail
 fallback — is :mod:`repro.store.checkpoint`'s concern.
 """
 
@@ -67,42 +85,68 @@ def decode_rng_state(rng: np.random.Generator, state: Dict[str, Any]) -> None:
 # -- protein objects ------------------------------------------------------------ #
 
 
-def _encode_chain(chain: Chain) -> Dict[str, Any]:
+def _encode_chain(chain: Chain, reference: Optional[Chain]) -> Dict[str, Any]:
+    coordinates = chain.coordinates
+    same_backbone = (
+        reference is not None
+        and reference.coordinates.shape == coordinates.shape
+        and reference.coordinates.tobytes() == coordinates.tobytes()
+    )
     return {
         "residues": chain.sequence.residues,
         "chain_id": chain.sequence.chain_id,
         "name": chain.sequence.name,
-        "coordinates": chain.coordinates.tolist(),
+        "coordinates": None if same_backbone else coordinates.tolist(),
     }
 
 
-def _decode_chain(payload: Dict[str, Any]) -> Chain:
+def _decode_chain(payload: Dict[str, Any], reference: Optional[Chain]) -> Chain:
+    coordinates = payload["coordinates"]
+    if coordinates is None:
+        if reference is None:
+            raise CampaignError(
+                f"chain {payload['chain_id']!r} was encoded by reference to "
+                "its target's backbone, but no reference complex was given"
+            )
+        coordinates = reference.coordinates
     return Chain(
         sequence=ProteinSequence(
             residues=payload["residues"],
             chain_id=payload["chain_id"],
             name=payload["name"],
         ),
-        coordinates=np.asarray(payload["coordinates"], dtype=float),
+        coordinates=np.asarray(coordinates, dtype=float),
     )
 
 
-def encode_complex(structure: ComplexStructure) -> Dict[str, Any]:
+def _chain(reference: Optional[ComplexStructure], part: str) -> Optional[Chain]:
+    return None if reference is None else getattr(reference, part)
+
+
+def encode_complex(
+    structure: ComplexStructure, reference: Optional[ComplexStructure] = None
+) -> Dict[str, Any]:
+    """Encode ``structure``; chains whose coordinates are bit-identical to
+    ``reference``'s matching chain are written as ``"coordinates": null``."""
     return {
         "name": structure.name,
-        "receptor": _encode_chain(structure.receptor),
-        "peptide": _encode_chain(structure.peptide),
+        "receptor": _encode_chain(structure.receptor, _chain(reference, "receptor")),
+        "peptide": _encode_chain(structure.peptide, _chain(reference, "peptide")),
         "backbone_quality": structure.backbone_quality,
         "designable_positions": list(structure.designable_positions),
         "metadata": dict(structure.metadata),
     }
 
 
-def decode_complex(payload: Dict[str, Any]) -> ComplexStructure:
+def decode_complex(
+    payload: Dict[str, Any], reference: Optional[ComplexStructure] = None
+) -> ComplexStructure:
+    """Inverse of :func:`encode_complex`; null coordinates are taken from
+    ``reference`` (:class:`CampaignError` when it is ``None``)."""
     return ComplexStructure(
         name=payload["name"],
-        receptor=_decode_chain(payload["receptor"]),
-        peptide=_decode_chain(payload["peptide"]),
+        receptor=_decode_chain(payload["receptor"], _chain(reference, "receptor")),
+        peptide=_decode_chain(payload["peptide"], _chain(reference, "peptide")),
         backbone_quality=payload["backbone_quality"],
         designable_positions=tuple(payload["designable_positions"]),
         metadata=dict(payload["metadata"]),

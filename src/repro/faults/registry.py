@@ -16,7 +16,9 @@ semantics:
 * ``crash_after_write`` — the seam completes its write, then the process
   dies by SIGKILL (no cleanup, no release — the caller never learns);
 * ``crash_before_rename`` — the process dies between staging the write and
-  committing it (temp file written, ``os.replace`` never runs);
+  committing it (temp file written, ``os.replace`` never runs); at an
+  append seam (a checkpoint save that appends its line) the write itself
+  is the commit point, so the process dies before writing anything;
 * ``clock_skew`` — lease timestamps are offset by the event's deterministic
   skew (only the ``lease.clock`` site draws it).
 

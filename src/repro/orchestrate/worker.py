@@ -499,13 +499,11 @@ def _execute_with_budget(
                     ),
                     site="checkpoint.save",
                 )
-            try:
-                metrics.gauge(
-                    "checkpoint.bytes", saved.stat().st_size,
-                    run=entry.spec.run_id, cycle=state.cycle, worker=worker,
-                )
-            except OSError:
-                pass  # payload-size gauge is observation only
+            # One checkpoint's size: the new line, not the whole ladder file.
+            metrics.gauge(
+                "checkpoint.bytes", saved.nbytes,
+                run=entry.spec.run_id, cycle=state.cycle, worker=worker,
+            )
         except OSError:
             # Checkpoints accelerate recovery, they do not gate correctness:
             # a save that fails persistently (queue-FS outage, ENOSPC) must

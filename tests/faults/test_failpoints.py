@@ -1,20 +1,27 @@
 """In-process failpoint semantics at the durability seams.
 
 Crash kinds (``crash_after_write``, ``crash_before_rename``) SIGKILL the
-process and are exercised through subprocess workers in the chaos tests;
-here we cover every fault a test process can survive: error raises, torn
-payloads that the existing recovery machinery must heal, deterministic
-stalls, and clock skew — plus the retry helper healing transient injections.
+process; they are exercised through subprocess workers in the chaos tests,
+and in a subprocess here for the checkpoint save.  Otherwise we cover every
+fault a test process can survive: error raises, torn payloads that the
+existing recovery machinery must heal, deterministic stalls, and clock
+skew — plus the retry helper healing transient injections.
 """
 
 from __future__ import annotations
 
 import errno
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import faults
 from repro.experiments import CampaignSuite, SweepSpec, TargetSpec
 from repro.faults import FaultPlan, ForcedFault
@@ -176,10 +183,9 @@ class TestLeaseFaults:
     def test_checkpoint_save_torn_write_falls_back_a_cycle(self, tmp_path):
         """An injected torn checkpoint loses the newest line, not the run.
 
-        The tear persists half of the rewritten ladder file; the cycle-2
-        payload is made much larger than cycle 1's so the midpoint always
-        lands inside line 2 (a half-and-half split would leave the outcome
-        to timestamp-repr luck)."""
+        The second save appends, so the tear persists half of the cycle-2
+        line.  (Its payload is made much larger than cycle 1's so that even
+        a tear of the whole rewritten ladder would land inside line 2.)"""
         from repro.core.protocols import CampaignState
 
         store = CheckpointStore(tmp_path / "checkpoints")
@@ -193,6 +199,77 @@ class TestLeaseFaults:
                 store.save("f" * 8, state2, run_id="r", worker="w")
         latest = store.latest_restorable("f" * 8)
         assert latest is not None and latest.cycle == 1
+
+
+#: Saves ``sys.argv[2:]`` cycles with a fresh store in a fresh process,
+#: so a forced crash kind really kills a process (``REPRO_FAULTS`` plan).
+SAVE_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.core.protocols import CampaignState
+from repro.store.checkpoint import CheckpointStore
+
+store = CheckpointStore(sys.argv[1])
+for cycle in map(int, sys.argv[2:]):
+    payload = {{"x": "y" * 4096 * cycle}}
+    state = CampaignState("cont-v", seed=3, cycle=cycle, payload=payload)
+    store.save("f" * 8, state, run_id="r", worker="w")
+"""
+
+CRASH_KINDS = ("crash_before_rename", "crash_after_write")
+
+
+def _checkpoint_state(cycle):
+    # Each cycle's payload outweighs every earlier line together, so a tear
+    # at the midpoint of a rewrite always lands inside the newest line.
+    from repro.core.protocols import CampaignState
+
+    return CampaignState(
+        "cont-v", seed=3, cycle=cycle, payload={"x": "y" * 4096 * cycle}
+    )
+
+
+class TestCheckpointSaveFaults:
+    """Every kind the ``checkpoint.save`` site expresses, forced once on a
+    rewrite crossing (a fresh store's first save of a run) and once on an
+    append crossing (its second)."""
+
+    @pytest.mark.parametrize("at", [1, 2], ids=["rewrite", "append"])
+    @pytest.mark.parametrize("kind", faults.SITE_KINDS["checkpoint.save"])
+    def test_fault_keeps_a_resumable_cycle(self, tmp_path, kind, at):
+        directory = tmp_path / "checkpoints"
+        # A previous owner of the run left cycle 1 behind.
+        CheckpointStore(directory).save(
+            "f" * 8, _checkpoint_state(1), run_id="r", worker="w"
+        )
+        cycles = [2, 3][:at]
+        plan = forced("checkpoint.save", at, kind)
+        if kind in CRASH_KINDS:
+            src = str(Path(repro.__file__).resolve().parent.parent)
+            proc = subprocess.run(
+                [sys.executable, "-c", SAVE_SCRIPT.format(src=src),
+                 str(directory), *map(str, cycles)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, faults.FAULTS_ENV: plan.to_env()},
+            )
+            assert proc.returncode == -signal.SIGKILL, proc.stderr
+        else:
+            store = CheckpointStore(directory)
+
+            def save_cycles():
+                for cycle in cycles:
+                    store.save("f" * 8, _checkpoint_state(cycle), run_id="r", worker="w")
+
+            with faults.injected_plan(plan):
+                if kind == "slow_io":
+                    save_cycles()
+                else:
+                    with pytest.raises(OSError):
+                        save_cycles()
+        landed = kind in ("crash_after_write", "slow_io")
+        expected = cycles[-1] if landed else cycles[-1] - 1
+        latest = CheckpointStore(directory).latest_restorable("f" * 8)
+        assert latest == _checkpoint_state(expected)
 
 
 class TestRegistryLifecycle:

@@ -497,6 +497,39 @@ class TestPreemptiveStealing:
         assert running.cycle == 9 and running.cycles_total == 12
         assert progress.cycles_in_flight_credit == pytest.approx(0.75)
 
+    def test_checkpointing_a_run_appends_between_rare_rewrites(
+        self, tmp_path, monkeypatch
+    ):
+        """A 4-target, 2-cycle cont-v run saves 8 checkpoints; all but the
+        first and fifth are appends, not atomic rewrites of the ladder."""
+        import repro.store.checkpoint as checkpoint
+
+        sweep = SweepSpec(
+            protocols=("cont-v",),
+            seeds=(3,),
+            targets=TargetSpec(kind="named-pdz", seed=11),
+            base={"n_cycles": 2, "n_sequences": 4},
+        )
+        queue = WorkQueue.create(tmp_path / "queue", sweep)
+        counts = {"saves": 0, "rewrites": 0}
+        real_save = CheckpointStore.save
+        real_write = checkpoint.atomic_write_text
+
+        def counting_save(self, *args, **kwargs):
+            counts["saves"] += 1
+            return real_save(self, *args, **kwargs)
+
+        def counting_write(*args, **kwargs):
+            counts["rewrites"] += 1
+            return real_write(*args, **kwargs)
+
+        monkeypatch.setattr(CheckpointStore, "save", counting_save)
+        monkeypatch.setattr(checkpoint, "atomic_write_text", counting_write)
+        outcome = run_worker(queue, worker_id="w0", checkpoint_seconds=0)
+        assert outcome.executed == entry_run_ids(queue)
+        assert counts["saves"] == 8
+        assert counts["rewrites"] <= 2
+
 
 class TestDistributedDeterminism:
     """The acceptance contract: N-worker finalize == serial suite store."""
