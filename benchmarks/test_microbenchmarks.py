@@ -10,6 +10,8 @@ impractically slow.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.protein.datasets import make_pdz_target
 from repro.protein.folding import SurrogateAlphaFold
 from repro.protein.mpnn import SurrogateProteinMPNN
 from repro.protein.scoring import ScoringFunction
+from repro.protein.structure import synthetic_backbone
 from repro.runtime.durations import DurationModel
 from repro.runtime.states import TaskState
 from repro.runtime.task import Task
@@ -47,6 +50,27 @@ def test_event_loop_throughput(benchmark):
         return counter[0]
 
     assert benchmark(run_10k_events) == 10_000
+
+
+def _min_of_3_seconds(function, *args) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        function(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_backbone_construction_is_linear_time():
+    """16x the residues must cost about 16x the time, not 256x.
+
+    Timed with ``perf_counter`` rather than the ``benchmark`` fixture so the
+    bound still holds under ``--benchmark-disable``.  Linear scaling gives a
+    ratio of about 16; the old quadratic walk measured about 47.
+    """
+    short = _min_of_3_seconds(synthetic_backbone, 200, 1)
+    long = _min_of_3_seconds(synthetic_backbone, 3200, 1)
+    assert long / short <= 24, f"3200/200-residue time ratio {long / short:.1f}"
 
 
 def test_scheduler_placement_throughput(benchmark):

@@ -293,13 +293,6 @@ class PipelinesCoordinator:
     def _submit_pipeline(self, pipeline: Pipeline) -> None:
         tasks = pipeline.start()
         self._session.task_manager.submit_tasks(tasks)
-        self._session.platform.log(
-            "coordinator",
-            "pipeline_submitted",
-            uid=pipeline.uid,
-            target=pipeline.target.name,
-            subpipeline=pipeline.is_subpipeline,
-        )
 
     # -- task routing ------------------------------------------------------------------ #
 
@@ -337,13 +330,6 @@ class PipelinesCoordinator:
             self._on_pipeline_finished(pipeline)
 
     def _on_pipeline_finished(self, pipeline: Pipeline) -> None:
-        self._session.platform.log(
-            "coordinator",
-            "pipeline_finished",
-            uid=pipeline.uid,
-            status=pipeline.status.value,
-            trajectories=pipeline.n_trajectories,
-        )
         if not pipeline.is_subpipeline and self._in_flight_roots > 0:
             self._in_flight_roots -= 1
         self._launch_pending_roots()
@@ -409,13 +395,6 @@ class PipelinesCoordinator:
         self._root_of[uid] = root_uid
         self._spawned_per_root[root_uid] = self._spawned_per_root.get(root_uid, 0) + 1
         self._total_spawned += 1
-        self._session.platform.log(
-            "coordinator",
-            "subpipeline_spawned",
-            uid=uid,
-            parent=parent.uid,
-            reason=spec.reason,
-        )
         # Sub-pipelines start immediately: they exist to exploit idle resources.
         self._submit_pipeline(subpipeline)
         return subpipeline

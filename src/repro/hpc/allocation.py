@@ -94,6 +94,7 @@ class NodeAllocator:
         self._nodes: Dict[str, _NodeState] = {
             node.name: _NodeState.fresh(node) for node in platform.nodes
         }
+        self._node_names = sorted(self._nodes)
         self._live: Dict[int, Allocation] = {}
         self._ids = itertools.count(1)
 
@@ -156,7 +157,7 @@ class NodeAllocator:
                 f"request {request} exceeds the capacity of every node in "
                 f"platform {self._platform.name!r}"
             )
-        for name in sorted(self._nodes):
+        for name in self._node_names:
             state = self._nodes[name]
             if not state.fits(request):
                 continue

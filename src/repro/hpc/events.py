@@ -4,6 +4,11 @@ A minimal but complete event loop: events are ``(time, priority, sequence)``
 ordered callbacks.  The loop advances a virtual clock to each event's
 timestamp and invokes its callback; callbacks may schedule further events.
 
+The heap holds ``(time, priority, sequence, event)`` tuples, so ``heapq``
+orders them with C-level tuple comparison.  ``sequence`` is unique per loop,
+so two entries never tie on it and the :class:`SimEvent` itself is never
+compared.
+
 The design deliberately mirrors the structure of SimPy-like engines while
 staying dependency-free and fully deterministic: ties in time are broken by
 priority and then by insertion order, so replays are bitwise identical.
@@ -14,28 +19,28 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.exceptions import SimulationError
 
 __all__ = ["SimEvent", "EventLoop"]
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class SimEvent:
     """A scheduled callback.
 
-    Ordering fields are ``(time, priority, sequence)``; the callback and its
-    arguments do not participate in comparisons.
+    ``(time, priority, sequence)`` fixes its place in the loop's heap; the
+    loop orders heap entries by those keys, never by the event object.
     """
 
     time: float
     priority: int
     sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: tuple = ()
+    kwargs: dict = field(default_factory=dict)
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the loop skips it when its time comes."""
@@ -55,7 +60,7 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: List[SimEvent] = []
+        self._queue: List[Tuple[float, int, int, SimEvent]] = []
         self._counter = itertools.count()
         self._processed = 0
 
@@ -67,7 +72,7 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-fired, not-cancelled events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     @property
     def processed(self) -> int:
@@ -89,14 +94,11 @@ class EventLoop:
                 f"t={self._now:.6f}"
             )
         event = SimEvent(
-            time=float(time),
-            priority=int(priority),
-            sequence=next(self._counter),
-            callback=callback,
-            args=args,
-            kwargs=kwargs,
+            float(time), int(priority), next(self._counter), callback, args, kwargs
         )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(
+            self._queue, (event.time, event.priority, event.sequence, event)
+        )
         return event
 
     def schedule(
@@ -116,16 +118,16 @@ class EventLoop:
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
         if not self._queue:
             return None
-        return self._queue[0].time
+        return self._queue[0][0]
 
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when nothing is pending."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 continue
             self._now = event.time

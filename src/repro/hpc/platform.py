@@ -16,7 +16,6 @@ from repro.hpc.events import EventLoop
 from repro.hpc.filesystem import FilesystemSpec, SharedFilesystem
 from repro.hpc.profiling import ExecutionProfiler
 from repro.hpc.resources import PlatformSpec, amarel_platform
-from repro.utils.logging import EventLog
 
 __all__ = ["ComputePlatform"]
 
@@ -44,7 +43,6 @@ class ComputePlatform:
         self._allocator = NodeAllocator(self._spec)
         self._filesystem = filesystem or SharedFilesystem(FilesystemSpec())
         self._profiler = ExecutionProfiler(self._spec)
-        self._event_log = EventLog()
 
     # -- accessors ------------------------------------------------------ #
 
@@ -69,19 +67,11 @@ class ComputePlatform:
         return self._profiler
 
     @property
-    def event_log(self) -> EventLog:
-        return self._event_log
-
-    @property
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._loop.now
 
     # -- convenience ----------------------------------------------------- #
-
-    def log(self, source: str, event: str, **data: object) -> None:
-        """Append a structured record stamped with the current sim time."""
-        self._event_log.append(self._loop.now, source, event, **data)
 
     def run(self) -> int:
         """Run the event loop until it drains; returns executed event count."""

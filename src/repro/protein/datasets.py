@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import DatasetError
 from repro.protein.landscape import FitnessLandscape
@@ -109,10 +110,12 @@ def _dock_peptide(
     centroid = receptor_coords.mean(axis=0)
     # Choose an anchor stretch biased toward surface residues (far from centroid).
     distances = np.linalg.norm(receptor_coords - centroid, axis=1)
+    # Stretches start at 0 .. length - k - 1: the last possible start,
+    # ``length - k``, is excluded.  The goldens pin that, so it stays.
     candidate_starts = np.arange(0, length - peptide_length)
-    stretch_distance = np.array(
-        [distances[start:start + peptide_length].mean() for start in candidate_starts]
-    )
+    stretch_distance = sliding_window_view(distances, peptide_length)[
+        : length - peptide_length
+    ].mean(axis=1)
     # Sample among the top-quartile most exposed stretches.
     threshold = np.quantile(stretch_distance, 0.75)
     exposed = candidate_starts[stretch_distance >= threshold]

@@ -11,6 +11,7 @@ ProteinMPNN round).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
@@ -38,6 +39,14 @@ def synthetic_backbone(
     protein-like point clouds without any physics.  Deterministic in
     ``seed``.
 
+    The walk runs in linear time on plain Python floats.  The centroid of
+    the residues placed so far is a running coordinate sum divided by their
+    count, which equals ``coords[:index].mean(axis=0)`` bit for bit because
+    NumPy reduces axis 0 sequentially.  Every norm stays
+    ``sqrt(buf.dot(buf))`` on a 3-element float64 buffer, the exact
+    reduction ``np.linalg.norm`` performs: the BLAS dot product rounds
+    differently from ``x*x + y*y + z*z``, and the fold must not change.
+
     Parameters
     ----------
     length:
@@ -59,20 +68,42 @@ def synthetic_backbone(
     if not 0.0 <= compactness < 1.0:
         raise StructureError("compactness must lie in [0, 1)")
     rng = np.random.default_rng(seed)
-    coords = np.zeros((length, 3), dtype=float)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    for index in range(1, length):
-        wobble = rng.normal(scale=0.9, size=3)
-        centroid = coords[:index].mean(axis=0)
-        pull = centroid - coords[index - 1]
-        norm = np.linalg.norm(pull)
+    dx, dy, dz = direction.tolist()
+    # Same PCG64 draws, in the same order, as one 3-vector per residue.
+    wobbles = rng.normal(scale=0.9, size=(length - 1, 3)).tolist()
+    buf = np.empty(3)
+    x = y = z = 0.0  # the previous residue
+    sx = sy = sz = 0.0  # running sum of every residue placed so far
+    points = [(x, y, z)]
+    for index, (wx, wy, wz) in enumerate(wobbles, start=1):
+        sx += x
+        sy += y
+        sz += z
+        px = sx / index - x
+        py = sy / index - y
+        pz = sz / index - z
+        buf[0], buf[1], buf[2] = px, py, pz
+        norm = math.sqrt(buf.dot(buf))
         if norm > 1e-9:
-            pull /= norm
-        direction = direction + wobble + compactness * pull
-        direction /= np.linalg.norm(direction)
-        coords[index] = coords[index - 1] + CA_CA_DISTANCE * direction
-    return coords + np.asarray(origin, dtype=float)
+            px /= norm
+            py /= norm
+            pz /= norm
+        # Left to right, as the array expression summed: not dx += ...
+        dx = dx + wx + compactness * px
+        dy = dy + wy + compactness * py
+        dz = dz + wz + compactness * pz
+        buf[0], buf[1], buf[2] = dx, dy, dz
+        norm = math.sqrt(buf.dot(buf))
+        dx /= norm
+        dy /= norm
+        dz /= norm
+        x = x + CA_CA_DISTANCE * dx
+        y = y + CA_CA_DISTANCE * dy
+        z = z + CA_CA_DISTANCE * dz
+        points.append((x, y, z))
+    return np.array(points) + np.asarray(origin, dtype=float)
 
 
 @dataclass(frozen=True)

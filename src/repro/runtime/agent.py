@@ -136,7 +136,6 @@ class Agent:
                 enqueue_time=now,
             )
         )
-        self._platform.log("agent", "task_submitted", uid=task.uid, kind=task.kind)
         self._request_placement()
 
     def cancel(self, task: Task) -> bool:
@@ -152,7 +151,6 @@ class Agent:
         if removed:
             task.advance(TaskState.CANCELED, self._platform.now)
             task.end_time = self._platform.now
-            self._platform.log("agent", "task_canceled", uid=task.uid)
             self._notify(task)
         return removed
 
@@ -194,15 +192,6 @@ class Agent:
         profiler.record_phase(
             task.uid, "running", now + setup_seconds, now + setup_seconds + run_seconds
         )
-        self._platform.log(
-            "agent",
-            "task_started",
-            uid=task.uid,
-            kind=task.kind,
-            node=allocation.node,
-            cores=allocation.cpu_cores,
-            gpus=allocation.gpus,
-        )
         self._platform.loop.schedule(
             setup_seconds + run_seconds,
             self._complete_task,
@@ -236,12 +225,6 @@ class Agent:
         self._platform.allocator.release(allocation)
         task.end_time = now
         task.advance(final_state, now)
-        self._platform.log(
-            "agent",
-            "task_completed" if final_state is TaskState.DONE else "task_failed",
-            uid=task.uid,
-            kind=task.kind,
-        )
         self._notify(task)
         self._request_placement()
 

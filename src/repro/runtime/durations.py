@@ -51,6 +51,11 @@ class TaskKind(str, enum.Enum):
     GENERIC = "generic"
 
 
+#: ``{value: member}``.  ``TaskKind`` is a ``str`` enum, so a member hashes
+#: and compares like its value and both look up the same entry.
+_KINDS: Dict[str, TaskKind] = {kind.value: kind for kind in TaskKind}
+
+
 @dataclass(frozen=True)
 class KindProfile:
     """Base cost profile for one task kind.
@@ -203,11 +208,7 @@ class DurationModel:
         (``metadata["n_residues"]``), filesystem read time for I/O-heavy
         kinds, and deterministic per-task jitter.
         """
-        try:
-            kind = TaskKind(description.kind)
-        except ValueError:
-            kind = TaskKind.GENERIC
-        profile = self.profile(kind)
+        profile = self.profile(_KINDS.get(description.kind, TaskKind.GENERIC))
 
         n_sequences = int(description.metadata.get("n_sequences", _REFERENCE_SEQUENCES))
         n_residues = int(description.metadata.get("n_residues", _REFERENCE_RESIDUES))

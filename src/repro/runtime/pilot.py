@@ -118,21 +118,18 @@ class Pilot:
         self.advance(PilotState.PMGR_LAUNCHING, now)
         bootstrap = self._description.bootstrap_seconds
         self._platform.profiler.record_phase(self.uid, "bootstrap", now, now + bootstrap)
-        self._platform.log("pilot", "pilot_launching", uid=self.uid)
         self._platform.loop.schedule(bootstrap, self._become_active)
 
     def _become_active(self) -> None:
         now = self._platform.now
         self.active_time = now
         self.advance(PilotState.ACTIVE, now)
-        self._platform.log("pilot", "pilot_active", uid=self.uid)
 
     def shutdown(self, failed: bool = False) -> None:
         """Terminate the pilot (after all its tasks completed)."""
         now = self._platform.now
         self.end_time = now
         self.advance(PilotState.FAILED if failed else PilotState.DONE, now)
-        self._platform.log("pilot", "pilot_done", uid=self.uid, failed=failed)
 
     @property
     def remaining_walltime_seconds(self) -> float:

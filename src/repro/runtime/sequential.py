@@ -97,12 +97,6 @@ class SequentialRunner:
         task.end_time = end
         task.advance(final_state, end)
         self._tasks.append(task)
-        self._platform.log(
-            "sequential",
-            "task_completed" if final_state is TaskState.DONE else "task_failed",
-            uid=task.uid,
-            kind=task.kind,
-        )
         for callback in list(self._callbacks):
             callback(task)
         return task

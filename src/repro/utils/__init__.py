@@ -9,7 +9,7 @@ from repro.utils.stats import (
     summarize,
 )
 from repro.utils.timer import Stopwatch
-from repro.utils.logging import EventLog, LogRecord, get_logger
+from repro.utils.logging import get_logger
 from repro.utils.retrying import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retries
 from repro.utils.serialization import to_jsonable, dump_json, load_json
 
@@ -26,8 +26,6 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "RetryPolicy",
     "call_with_retries",
-    "EventLog",
-    "LogRecord",
     "get_logger",
     "to_jsonable",
     "dump_json",

@@ -1,23 +1,16 @@
-"""Structured event logging.
+"""Human-readable logging.
 
-Two complementary facilities:
-
-* :func:`get_logger` — thin wrapper over :mod:`logging` with a consistent
-  format, used for human-readable progress output from examples and benches.
-* :class:`EventLog` — an in-memory, append-only structured log keyed by
-  simulation time.  The runtime and coordinator append records to it; the
-  analysis layer replays them to reconstruct utilization timelines and phase
-  breakdowns (Figs 4 and 5) without any global state.
+:func:`get_logger` is a thin wrapper over :mod:`logging` with a consistent
+format, used for progress output from examples and benches.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Optional
 
-__all__ = ["LOG_LEVEL_ENV", "get_logger", "LogRecord", "EventLog"]
+__all__ = ["LOG_LEVEL_ENV", "get_logger"]
 
 _FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
 
@@ -56,78 +49,3 @@ def get_logger(name: str, level: Optional[int] = None) -> logging.Logger:
         logger.propagate = False
     logger.setLevel(_level_from_env() if level is None else level)
     return logger
-
-
-@dataclass(frozen=True)
-class LogRecord:
-    """One structured event.
-
-    Attributes
-    ----------
-    time:
-        Simulation time (seconds) at which the event occurred.
-    source:
-        Component emitting the event (e.g. ``"agent"``, ``"coordinator"``).
-    event:
-        Event name (e.g. ``"task_completed"``, ``"pipeline_spawned"``).
-    data:
-        Arbitrary JSON-able payload.
-    """
-
-    time: float
-    source: str
-    event: str
-    data: Dict[str, Any] = field(default_factory=dict)
-
-
-class EventLog:
-    """Append-only structured log ordered by insertion.
-
-    Records are kept in insertion order, which for the discrete-event runtime
-    coincides with non-decreasing simulation time.  Query helpers filter by
-    source and/or event name.
-    """
-
-    def __init__(self) -> None:
-        self._records: List[LogRecord] = []
-
-    def append(self, time: float, source: str, event: str, **data: Any) -> LogRecord:
-        """Append a record and return it."""
-        record = LogRecord(time=float(time), source=source, event=event, data=dict(data))
-        self._records.append(record)
-        return record
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        return iter(self._records)
-
-    def records(
-        self,
-        *,
-        source: Optional[str] = None,
-        event: Optional[str] = None,
-    ) -> List[LogRecord]:
-        """Return records matching the optional ``source``/``event`` filters."""
-        out = []
-        for record in self._records:
-            if source is not None and record.source != source:
-                continue
-            if event is not None and record.event != event:
-                continue
-            out.append(record)
-        return out
-
-    def last(self, event: Optional[str] = None) -> Optional[LogRecord]:
-        """The most recent record (optionally of a given event), or ``None``."""
-        if event is None:
-            return self._records[-1] if self._records else None
-        for record in reversed(self._records):
-            if record.event == event:
-                return record
-        return None
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self._records.clear()

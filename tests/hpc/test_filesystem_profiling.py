@@ -150,12 +150,5 @@ class TestComputePlatform:
         assert platform.spec.total_cpu_cores == 28
         assert platform.spec.total_gpus == 4
 
-    def test_log_records_sim_time(self):
-        platform = ComputePlatform()
-        platform.loop.schedule(7.0, lambda: platform.log("test", "ping"))
-        platform.run()
-        record = platform.event_log.last("ping")
-        assert record is not None and record.time == 7.0
-
     def test_describe_includes_filesystem(self):
         assert "filesystem" in ComputePlatform().describe()

@@ -106,3 +106,38 @@ class TestValidation:
         custom = KindProfile(base_seconds=7.0, jitter_sigma=0.0)
         model = DurationModel(profiles={TaskKind.COMPARE: custom})
         assert model.duration(_description(TaskKind.COMPARE, "c")) == pytest.approx(7.0)
+
+
+class TestKindLookup:
+    """Seconds pinned from the ``TaskKind(kind)`` lookup the model used to do."""
+
+    PINNED = {
+        "mpnn_generate": 748.8438701026138,
+        "sequence_rank": 29.176364860459255,
+        "sequence_select": 20.656951408013388,
+        "af_msa": 2826.935070373589,
+        "af_inference": 2514.1133913606564,
+        "scoring": 554.3386965524887,
+        "compare": 10.684984858130157,
+        "generic": 56.83337978803341,
+    }
+
+    @staticmethod
+    def _seconds(kind, name, **metadata) -> float:
+        description = TaskDescription(
+            name=name, kind=kind, request=ResourceRequest(cpu_cores=1), metadata=metadata
+        )
+        return DurationModel(seed=7).duration(description)
+
+    def test_every_kind_value(self):
+        assert sorted(self.PINNED) == sorted(kind.value for kind in TaskKind)
+        for value, seconds in self.PINNED.items():
+            assert self._seconds(
+                value, f"pin.{value}", n_sequences=12, n_residues=110
+            ) == seconds
+
+    def test_member_as_kind(self):
+        assert self._seconds(TaskKind.AF_MSA, "pin.member") == 3504.7656149095556
+
+    def test_unknown_kind_uses_the_generic_profile(self):
+        assert self._seconds("not-a-kind", "pin.unknown") == 61.190070567778314

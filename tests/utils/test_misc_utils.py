@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.logging import LOG_LEVEL_ENV, EventLog, get_logger
+from repro.utils.logging import LOG_LEVEL_ENV, get_logger
 from repro.utils.serialization import dump_json, load_json, to_jsonable
 from repro.utils.timer import Stopwatch
 
@@ -63,42 +63,6 @@ class TestDumpLoadJson:
         path = dump_json(payload, tmp_path / "out" / "data.json")
         assert path.exists()
         assert load_json(path) == payload
-
-
-class TestEventLog:
-    def test_append_and_len(self):
-        log = EventLog()
-        log.append(1.0, "agent", "task_started", uid="t1")
-        log.append(2.0, "agent", "task_completed", uid="t1")
-        assert len(log) == 2
-
-    def test_filter_by_event(self):
-        log = EventLog()
-        log.append(1.0, "agent", "a")
-        log.append(2.0, "coordinator", "b")
-        log.append(3.0, "agent", "a")
-        assert len(log.records(event="a")) == 2
-        assert len(log.records(source="coordinator")) == 1
-
-    def test_last(self):
-        log = EventLog()
-        assert log.last() is None
-        log.append(1.0, "x", "alpha")
-        log.append(2.0, "x", "beta")
-        assert log.last().event == "beta"
-        assert log.last("alpha").time == 1.0
-        assert log.last("missing") is None
-
-    def test_clear(self):
-        log = EventLog()
-        log.append(0.0, "x", "e")
-        log.clear()
-        assert len(log) == 0
-
-    def test_data_payload_preserved(self):
-        log = EventLog()
-        record = log.append(5.0, "agent", "task", uid="t9", cores=4)
-        assert record.data == {"uid": "t9", "cores": 4}
 
 
 class TestGetLogger:
