@@ -32,32 +32,46 @@ Sub-packages
 ``repro.experiments``
     Declarative sweeps (protocols x seeds x knobs) and the parallel
     campaign-suite engine (``python -m repro.experiments``).
+
+Every name in ``__all__`` resolves lazily (PEP 562, :mod:`repro._lazy`):
+``import repro`` loads no sub-package, and the first ``repro.DesignCampaign``
+imports :mod:`repro.core.campaign`.  A process that runs campaigns imports
+the sub-packages it uses directly, and those import their run-path modules
+eagerly, so nothing is imported once a run has started.  Sub-packages are
+imported explicitly (``import repro.core``), as with any package.
 """
 
-from repro.core.campaign import CampaignConfig, DesignCampaign
-from repro.core.results import CampaignResult, compare_campaigns
-from repro.core.pipeline import Pipeline, PipelineConfig
-from repro.core.coordinator import CoordinatorConfig, PipelinesCoordinator
-from repro.core.control import ControlConfig, ControlProtocol
-from repro.core.protocols import (
-    ExecutionProtocol,
-    available_protocols,
-    get_protocol,
-    register_protocol,
-)
-from repro.experiments import CampaignSuite, SuiteResult, SweepSpec, TargetSpec
-from repro.protein.datasets import (
-    ALPHA_SYNUCLEIN_C4,
-    ALPHA_SYNUCLEIN_C10,
-    DesignTarget,
-    expanded_pdz_set,
-    make_pdz_target,
-    named_pdz_targets,
-)
-from repro.analysis.comparison import table1
-from repro.analysis.reporting import format_iteration_table, format_table1
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.campaign": ("CampaignConfig", "DesignCampaign"),
+        "repro.core.results": ("CampaignResult", "compare_campaigns"),
+        "repro.core.pipeline": ("Pipeline", "PipelineConfig"),
+        "repro.core.coordinator": ("CoordinatorConfig", "PipelinesCoordinator"),
+        "repro.core.control": ("ControlConfig", "ControlProtocol"),
+        "repro.core.protocols": (
+            "ExecutionProtocol",
+            "available_protocols",
+            "get_protocol",
+            "register_protocol",
+        ),
+        "repro.experiments": ("CampaignSuite", "SuiteResult", "SweepSpec", "TargetSpec"),
+        "repro.protein.datasets": (
+            "ALPHA_SYNUCLEIN_C4",
+            "ALPHA_SYNUCLEIN_C10",
+            "DesignTarget",
+            "expanded_pdz_set",
+            "make_pdz_target",
+            "named_pdz_targets",
+        ),
+        "repro.analysis.comparison": ("table1",),
+        "repro.analysis.reporting": ("format_iteration_table", "format_table1"),
+    },
+)
 
 __all__ = [
     "CampaignConfig",

@@ -18,37 +18,49 @@ paper reports:
 * :mod:`repro.analysis.scaling` — the scaling-study reduction: the same
   sweep at increasing fleet sizes, reduced to speedup/efficiency/
   utilization per size (the ``orchestrate scale`` table).
+
+No run executes this layer except :mod:`~repro.analysis.progress` (the
+orchestration coordinator imports it directly), so every name here resolves
+lazily (PEP 562): ``import repro.analysis`` loads none of its modules, and
+the first ``repro.analysis.table1`` imports :mod:`~repro.analysis.comparison`.
 """
 
-from repro.analysis.utilization import UtilizationReport, utilization_report
-from repro.analysis.makespan import MakespanReport, makespan_report
-from repro.analysis.comparison import (
-    ProtocolMatrixRow,
-    Table1Row,
-    protocol_matrix,
-    table1,
-)
-from repro.analysis.progress import QueueProgress, RunInFlight, format_queue_progress
-from repro.analysis.scaling import (
-    ScalingPoint,
-    ScalingStudy,
-    build_scaling_study,
-    format_scaling_table,
-)
-from repro.analysis.timeline import (
-    FleetTimeline,
-    TimelineEvent,
-    TimelineSpan,
-    WorkerTimeline,
-    fleet_timeline,
-    format_fleet_timeline,
-)
-from repro.analysis.reporting import (
-    format_iteration_table,
-    format_protocol_matrix,
-    format_table1,
-    format_utilization_table,
-    iteration_series,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.utilization": ("UtilizationReport", "utilization_report"),
+        "repro.analysis.makespan": ("MakespanReport", "makespan_report"),
+        "repro.analysis.comparison": (
+            "ProtocolMatrixRow",
+            "Table1Row",
+            "protocol_matrix",
+            "table1",
+        ),
+        "repro.analysis.progress": ("QueueProgress", "RunInFlight", "format_queue_progress"),
+        "repro.analysis.scaling": (
+            "ScalingPoint",
+            "ScalingStudy",
+            "build_scaling_study",
+            "format_scaling_table",
+        ),
+        "repro.analysis.timeline": (
+            "FleetTimeline",
+            "TimelineEvent",
+            "TimelineSpan",
+            "WorkerTimeline",
+            "fleet_timeline",
+            "format_fleet_timeline",
+        ),
+        "repro.analysis.reporting": (
+            "format_iteration_table",
+            "format_protocol_matrix",
+            "format_table1",
+            "format_utilization_table",
+            "iteration_series",
+        ),
+    },
 )
 
 __all__ = [

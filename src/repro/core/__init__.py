@@ -21,6 +21,10 @@ This package is the paper's primary contribution re-implemented:
 * :mod:`repro.core.results` — campaign results and Table-I-style summaries.
 * :mod:`repro.core.genetic` — the genetic-algorithm framing exposed for
   extension (population, selection, recombination).
+
+No protocol runs the genetic optimizer, so its names resolve lazily
+(PEP 562, :mod:`repro._lazy`); every other module here is on the run path and
+is imported eagerly.
 """
 
 from repro.core.trajectory import Trajectory, CycleResult
@@ -44,7 +48,12 @@ from repro.core.protocols import (
 )
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.results import CampaignResult, PipelineRecord, compare_campaigns
-from repro.core.genetic import GeneticConfig, GeneticOptimizer, Individual
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {"repro.core.genetic": ("GeneticConfig", "GeneticOptimizer", "Individual")},
+)
 
 __all__ = [
     "Trajectory",

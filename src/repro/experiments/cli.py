@@ -35,8 +35,10 @@ import json
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.comparison import protocol_matrix
-from repro.analysis.reporting import format_protocol_matrix
+# ``analysis`` is a package namespace here: the report resolves on first
+# access (PEP 562), so a process that imports this module only for its sweep
+# flags (``python -m repro.orchestrate worker``) never loads it.
+from repro import analysis
 from repro.core.coordinator import AUTO_IN_FLIGHT
 from repro.core.protocols import available_protocols, get_protocol
 from repro.exceptions import ReproError
@@ -238,7 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print()
     print(_format_run_table(outcome.records))
     print()
-    print(format_protocol_matrix(protocol_matrix(outcome.results)))
+    print(analysis.format_protocol_matrix(analysis.protocol_matrix(outcome.results)))
     print()
     print(
         f"Suite: {outcome.n_runs} runs in {outcome.wall_seconds:.2f}s wall "

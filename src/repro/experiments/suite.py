@@ -15,12 +15,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -309,6 +303,15 @@ class CampaignSuite:
         pending: List[Tuple[int, RunSpec, Optional[str]]],
         store,
     ) -> Dict[int, SuiteRunRecord]:
+        # Imported here: the process pool pulls in ``multiprocessing``, which
+        # serial suites and queue workers never use.
+        from concurrent.futures import (
+            Executor,
+            ProcessPoolExecutor,
+            ThreadPoolExecutor,
+            as_completed,
+        )
+
         pool: Executor
         if self.executor == "process":
             pool = ProcessPoolExecutor(max_workers=n_workers)

@@ -33,9 +33,12 @@ Determinism contract, extended to distributed execution: for a fixed sweep
 the finalized store's science bytes are independent of worker count, claim
 interleaving and steal history, and (timing stripped) byte-identical to a
 canonicalised serial ``CampaignSuite.run(store=...)`` store.
+
+The two harnesses drive workers but are not part of one, so their names
+resolve lazily (PEP 562, :mod:`repro._lazy`); the queue, lease, worker and
+coordinator modules every drain runs are imported eagerly.
 """
 
-from repro.orchestrate.chaos import ChaosReport, run_chaos
 from repro.orchestrate.coordinator import finalize_queue, queue_progress
 from repro.orchestrate.lease import (
     ClaimLease,
@@ -47,12 +50,20 @@ from repro.orchestrate.lease import (
     try_steal,
 )
 from repro.orchestrate.queue import QueueEntry, WorkQueue, validate_worker_id
-from repro.orchestrate.scaling import ScalingRun, run_scaling_study
 from repro.orchestrate.worker import (
     RunTimeout,
     WorkerOutcome,
     default_worker_id,
     run_worker,
+)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.orchestrate.chaos": ("ChaosReport", "run_chaos"),
+        "repro.orchestrate.scaling": ("ScalingRun", "run_scaling_study"),
+    },
 )
 
 __all__ = [

@@ -35,17 +35,16 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro import telemetry
+# ``analysis`` and ``orchestrate`` are package namespaces here: the reports
+# and harnesses only some commands use resolve on first access (PEP 562), so
+# a ``worker`` process never imports them.
+from repro import analysis, orchestrate, telemetry
 from repro.analysis.progress import format_queue_progress
-from repro.analysis.scaling import format_scaling_table
-from repro.analysis.timeline import fleet_timeline, format_fleet_timeline
 from repro.exceptions import ConfigurationError, OrchestrationError, ReproError
 from repro.experiments.cli import add_sweep_arguments, positive_int, sweep_from_args
 from repro.faults import FAULT_KINDS, ForcedFault
-from repro.orchestrate.chaos import run_chaos
 from repro.orchestrate.coordinator import finalize_queue, queue_progress
 from repro.orchestrate.queue import QueueEntry, WorkQueue
-from repro.orchestrate.scaling import run_scaling_study
 from repro.orchestrate.worker import (
     DEFAULT_CHECKPOINT_SECONDS,
     DEFAULT_LEASE_SECONDS,
@@ -321,8 +320,8 @@ def _status_text(queue_dir: str, lease_seconds: float) -> "tuple[str, bool]":
     text = format_queue_progress(progress)
     telemetry_dir = Path(queue_dir) / "telemetry"
     if telemetry_dir.is_dir():
-        fleet = fleet_timeline(telemetry_dir)
-        text += "\n\n" + format_fleet_timeline(fleet)
+        fleet = analysis.fleet_timeline(telemetry_dir)
+        text += "\n\n" + analysis.format_fleet_timeline(fleet)
     drained = (
         progress.n_runs > 0
         and progress.n_done + progress.n_failed >= progress.n_runs
@@ -438,8 +437,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "workers with --telemetry to trace a sweep"
                 )
             print(
-                format_fleet_timeline(
-                    fleet_timeline(telemetry_dir), bins=args.bins
+                analysis.format_fleet_timeline(
+                    analysis.fleet_timeline(telemetry_dir), bins=args.bins
                 )
             )
         elif args.command == "finalize":
@@ -456,7 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{', timing stripped' if args.strip_timing else ''})"
             )
         elif args.command == "scale":
-            study, runs = run_scaling_study(
+            study, runs = orchestrate.run_scaling_study(
                 args.queue,
                 sweep_from_args(args),
                 _parse_fleet_sizes(args.workers),
@@ -469,14 +468,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 else Path(args.queue) / "scaling.json"
             )
             print()
-            print(format_scaling_table(study))
+            print(analysis.format_scaling_table(study))
             print()
             print(
                 f"Finalized stores byte-identical across "
                 f"{len(runs)} fleet size(s); study JSON -> {json_path}"
             )
         elif args.command == "chaos":
-            report = run_chaos(
+            report = orchestrate.run_chaos(
                 args.queue,
                 sweep_from_args(args),
                 seed=args.chaos_seed,

@@ -20,6 +20,11 @@ provides surrogate equivalents that preserve the *interfaces* and the
 * :mod:`repro.protein.mutation` — mutation and crossover operators.
 * :mod:`repro.protein.datasets` — the four named PDZ targets, the
   alpha-synuclein peptide, and the 70-complex expanded set.
+
+Only the genetic optimizer uses the mutation operators, and no protocol runs
+it, so ``point_mutations`` and ``crossover`` resolve lazily (PEP 562,
+:mod:`repro._lazy`); every other module here is on the run path and is
+imported eagerly.
 """
 
 from repro.protein.alphabet import AMINO_ACIDS, aa_index, is_valid_sequence
@@ -31,13 +36,17 @@ from repro.protein.mpnn import MPNNConfig, SurrogateProteinMPNN
 from repro.protein.folding import FoldingConfig, FoldingResult, SurrogateAlphaFold
 from repro.protein.metrics import QualityMetrics, is_improvement, composite_score
 from repro.protein.scoring import ScoringFunction, EnergyBreakdown
-from repro.protein.mutation import point_mutations, crossover
 from repro.protein.datasets import (
     ALPHA_SYNUCLEIN_C10,
     ALPHA_SYNUCLEIN_C4,
     DesignTarget,
     expanded_pdz_set,
     named_pdz_targets,
+)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"repro.protein.mutation": ("point_mutations", "crossover")}
 )
 
 __all__ = [

@@ -28,6 +28,7 @@ from repro.protein.landscape import FitnessLandscape
 from repro.protein.sequence import ProteinSequence
 from repro.protein.structure import Chain, ComplexStructure, synthetic_backbone
 from repro.utils.rng import derive_seed, spawn_rng
+from repro.utils.stats import linear_quantile
 
 __all__ = [
     "ALPHA_SYNUCLEIN_C10",
@@ -117,7 +118,7 @@ def _dock_peptide(
         : length - peptide_length
     ].mean(axis=1)
     # Sample among the top-quartile most exposed stretches.
-    threshold = np.quantile(stretch_distance, 0.75)
+    threshold = linear_quantile(stretch_distance.tolist(), 0.75)
     exposed = candidate_starts[stretch_distance >= threshold]
     start = int(rng.choice(exposed))
 

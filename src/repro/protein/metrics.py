@@ -23,6 +23,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.exceptions import ProteinError
+from repro.utils.stats import sorted_median
 
 __all__ = ["QualityMetrics", "composite_score", "is_improvement", "aggregate_metrics"]
 
@@ -164,9 +165,10 @@ def aggregate_metrics(metrics: Iterable[QualityMetrics]) -> Dict[str, Dict[str, 
         raise ProteinError("cannot aggregate an empty metric collection")
     result: Dict[str, Dict[str, float]] = {}
     for field_name in ("plddt", "ptm", "interchain_pae"):
-        data = np.array([getattr(metric, field_name) for metric in values], dtype=float)
+        column = [float(getattr(metric, field_name)) for metric in values]
+        data = np.array(column, dtype=float)
         result[field_name] = {
-            "median": float(np.median(data)),
+            "median": sorted_median(column),
             "mean": float(data.mean()),
             "std": float(data.std(ddof=0)),
             "half_std": float(data.std(ddof=0) / 2.0),

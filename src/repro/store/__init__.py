@@ -20,6 +20,11 @@ makes them durable artifacts:
 * :mod:`repro.store.cli` — ``python -m repro.store`` (``inspect`` / ``merge``
   / ``report`` / ``prune`` / ``migrate``).
 
+Runs read and write stores but never migrate or shard them, so the
+:mod:`~repro.store.migrate` and :mod:`~repro.store.shard` names resolve
+lazily (PEP 562, :mod:`repro._lazy`); the run-path modules (run store,
+checkpoints, codec, fingerprint) are imported eagerly.
+
 Resumable sweep in four lines::
 
     from repro.experiments import CampaignSuite, SweepSpec
@@ -38,7 +43,6 @@ from repro.store.checkpoint import (
 )
 from repro.store.codec import decode_run_spec, encode_run_spec
 from repro.store.fingerprint import canonical_json, run_fingerprint
-from repro.store.migrate import migrate_payload, migrate_store, register_migration
 from repro.store.runstore import (
     STORE_SCHEMA_VERSION,
     RunStore,
@@ -47,7 +51,15 @@ from repro.store.runstore import (
     merge_stores,
     prune_store,
 )
-from repro.store.shard import parse_shard, shard_runs
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.store.migrate": ("migrate_payload", "migrate_store", "register_migration"),
+        "repro.store.shard": ("parse_shard", "shard_runs"),
+    },
+)
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",

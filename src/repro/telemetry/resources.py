@@ -39,7 +39,8 @@ _RU_MAXRSS_SCALE = 1 if sys.platform == "darwin" else 1024
 def _rss_bytes() -> Optional[float]:
     """Resident set size of this process, or ``None`` when unreadable."""
     try:
-        with open("/proc/self/statm", "r", encoding="ascii") as handle:
+        # Bytes, not text: a text read would import a codec mid-run.
+        with open("/proc/self/statm", "rb") as handle:
             fields = handle.read().split()
         return float(fields[1]) * os.sysconf("SC_PAGE_SIZE")
     except (OSError, IndexError, ValueError):

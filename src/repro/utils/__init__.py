@@ -9,9 +9,13 @@ from repro.utils.stats import (
     summarize,
 )
 from repro.utils.timer import Stopwatch
-from repro.utils.logging import get_logger
 from repro.utils.retrying import DEFAULT_RETRY_POLICY, RetryPolicy, call_with_retries
 from repro.utils.serialization import to_jsonable, dump_json, load_json
+from repro._lazy import lazy_exports
+
+# No run logs, so ``get_logger`` resolves lazily (PEP 562, :mod:`repro._lazy`)
+# and the stdlib ``logging`` import stays out of worker processes.
+__getattr__, __dir__ = lazy_exports(globals(), {"repro.utils.logging": ("get_logger",)})
 
 __all__ = [
     "RNGRegistry",

@@ -8,6 +8,7 @@ benchmarks and the analysis layer all agree on their definitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,6 +18,8 @@ __all__ = [
     "SummaryStats",
     "summarize",
     "median_and_spread",
+    "sorted_median",
+    "linear_quantile",
     "net_delta_percent",
     "bootstrap_ci",
     "relative_change",
@@ -87,6 +90,55 @@ def median_and_spread(values: Iterable[float]) -> tuple[float, float]:
     """Return ``(median, std/2)`` — the quantities plotted in Figs 2 and 3."""
     stats = summarize(values)
     return stats.median, stats.half_std
+
+
+def sorted_median(values: Iterable[float]) -> float:
+    """The median of NaN-free ``values``, bit-equal to ``np.median``.
+
+    A ``sorted()`` middle pick; for an even count, ``(a + b) / 2`` of the
+    middle pair.  NumPy averages the middle element or pair with a sum that
+    starts from ``+0.0``, so the sum here does too (a lone ``-0.0`` comes
+    back as ``+0.0`` in both).  Unlike ``np.median`` this never imports
+    ``numpy.ma`` (NumPy's NaN check does), which a fresh process would
+    otherwise pay for inside its first run.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("cannot take the median of an empty sample")
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(0.0 + ordered[middle])
+    return float((0.0 + ordered[middle - 1] + ordered[middle]) / 2)
+
+
+def linear_quantile(values: Iterable[float], q: float) -> float:
+    """The ``q`` quantile (``0 <= q <= 1``) of NaN-free ``values``, bit-equal
+    to ``np.quantile`` with its default ``method="linear"``.
+
+    NumPy's formula, step for step: the virtual index ``(n - 1) * q``, its
+    floor and the next index (both clamped to the last element at the top),
+    and the two-sided lerp that interpolates from whichever neighbour is
+    nearer.  Like :func:`sorted_median` it never imports ``numpy.ma``.  The
+    one exception to bit equality is a sample holding both ``-0.0`` and
+    ``0.0``: they tie, ``sorted()`` may order them unlike NumPy's partition,
+    and a zero result's sign can differ.
+    """
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("cannot take a quantile of an empty sample")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must lie in [0, 1], got {q!r}")
+    position = (len(ordered) - 1) * q
+    below = math.floor(position)
+    above = below + 1
+    if position >= len(ordered) - 1:
+        below = above = -1
+    weight = position - below
+    low, high = ordered[below], ordered[above]
+    step = high - low
+    if weight >= 0.5:
+        return float(high - step * (1 - weight))
+    return float(low + step * weight)
 
 
 def relative_change(initial: float, final: float) -> float:

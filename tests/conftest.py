@@ -7,11 +7,14 @@ well under a second each.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.campaign import CampaignConfig, DesignCampaign
 from repro.core.stages import StageFactory, StageModels
 from repro.hpc.platform import ComputePlatform
@@ -39,7 +42,13 @@ def pytest_sessionstart(session):
     for files that no longer exist.  Every already-imported ``repro``
     module must be a real ``.py`` file under ``src/``, and no package may
     be a source-less namespace directory (the ``__pycache__``-only case).
+    Package namespaces resolve some names lazily, so every module is
+    imported first: the check covers the whole tree, not just what the
+    fixtures below happen to load.
     """
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
     for name, module in list(sys.modules.items()):
         if name != "repro" and not name.startswith("repro."):
             continue

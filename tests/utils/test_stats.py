@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from repro.utils.stats import (
     bootstrap_ci,
+    linear_quantile,
     median_and_spread,
     net_delta_percent,
     relative_change,
+    sorted_median,
     summarize,
 )
 
@@ -108,3 +110,53 @@ class TestBootstrapCI:
     def test_bad_alpha_raises(self):
         with pytest.raises(ValueError):
             bootstrap_ci([1.0, 2.0], alpha=1.5)
+
+
+def _random_samples(seed: int, count: int):
+    """``count`` random finite float64 arrays of length 1-200: wide-range
+    normals, small-integer samples full of ties, and uniform metric-like
+    values."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        length = int(rng.integers(1, 201))
+        kind = index % 3
+        if kind == 0:
+            yield rng.normal(size=length) * 10.0 ** rng.integers(-6, 7)
+        elif kind == 1:
+            yield rng.integers(-3, 4, size=length).astype(float)
+        else:
+            yield rng.uniform(0.0, 100.0, size=length)
+
+
+class TestNumpyFreeOrderStatistics:
+    """``sorted_median`` / ``linear_quantile`` stand in for ``np.median`` /
+    ``np.quantile`` on the run path, so they must match them bit for bit."""
+
+    def test_median_is_bit_equal_to_numpy(self):
+        for sample in _random_samples(seed=0, count=600):
+            expected = float(np.median(sample)).hex()
+            assert sorted_median(sample.tolist()).hex() == expected
+
+    def test_quantile_is_bit_equal_to_numpy(self):
+        rng = np.random.default_rng(1)
+        for sample in _random_samples(seed=2, count=600):
+            for q in (0.0, 0.25, 0.5, 0.75, 1.0, float(rng.uniform())):
+                expected = float(np.quantile(sample, q)).hex()
+                assert linear_quantile(sample.tolist(), q).hex() == expected, q
+
+    def test_signed_zeros_and_infinities_match_numpy(self):
+        for sample in ([-0.0], [-0.0, -0.0], [-0.0, 0.0, 1.0], [np.inf, 1.0, np.inf, 2.0]):
+            expected = float(np.median(np.array(sample))).hex()
+            assert sorted_median(sample).hex() == expected
+        for sample in ([-0.0], [-0.0, -0.0], [-0.0] * 4, [-0.0] * 5):
+            for q in (0.0, 0.75, 1.0):
+                expected = float(np.quantile(np.array(sample), q)).hex()
+                assert linear_quantile(sample, q).hex() == expected
+
+    def test_empty_and_out_of_range_raise(self):
+        with pytest.raises(ValueError):
+            sorted_median([])
+        with pytest.raises(ValueError):
+            linear_quantile([], 0.5)
+        with pytest.raises(ValueError):
+            linear_quantile([1.0], 1.5)
